@@ -1,11 +1,12 @@
 """Table lifecycle benchmark: cold build vs shared-memory attach.
 
 Quantifies what the :mod:`repro.perf` cache saves per sweep worker:
-a cold :class:`NextHopTable` build is seconds of XOR scans over the
-whole address space, while attaching the published table is a few
-shared-memory mappings. The assertion is deliberately loose (100x) —
-the real attach win is 3–4 orders of magnitude, but shared CI runners
-are noisy.
+a cold :class:`NextHopTable` build is a trie fill of every node's row
+plus a transpose of the whole coded matrix (0.2–0.3 s at the default
+300 nodes), while attaching the published table is a few
+shared-memory mappings (about 0.3 ms). The assertion is deliberately
+loose (100x) — the real attach win is 2–3 orders of magnitude, but
+shared CI runners are noisy.
 """
 
 from __future__ import annotations

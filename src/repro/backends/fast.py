@@ -76,8 +76,12 @@ import time
 
 import numpy as np
 
-from ..errors import ConfigurationError
-from ..kademlia.address import bit_length_array, target_dtype
+from ..errors import ConfigurationError, OverlayError
+from ..kademlia.address import (
+    bit_length_array,
+    target_dtype,
+    xor_closest_fill,
+)
 from ..kademlia.overlay import Overlay, OverlayConfig
 from ..workloads.distributions import OriginatorPool, UniformFileSize
 from ..workloads.generators import DownloadWorkload, FileDownload
@@ -121,6 +125,12 @@ TABLE_BUILD_LOG_ENV = "REPRO_TABLE_BUILD_LOG"
 #: tests, which flip this flag); the decoded mode is kept only as the
 #: independent oracle.
 DECODED_DYNAMICS_ENV = "REPRO_DECODED_DYNAMICS"
+
+#: Node rows trie-filled per block before the terminal coding and the
+#: transpose into the ``[target, node]`` matrix. Bounds the row buffer
+#: (4 MiB at 16 bits); 32 timed at or near the fastest of 8-256 at
+#: 200 and 1000 nodes.
+_BUILD_ROWS = 32
 
 _OVERLAY_CACHE: dict[tuple, Overlay] = {}
 
@@ -228,12 +238,18 @@ class NextHopTable:
     than ``i`` itself (greedy terminal). ``storer[t]`` is the dense
     index of the globally closest node.
 
-    The batched kernel routes through :attr:`coded_transposed` — the
-    ``[target, node]`` layout with terminals folded in (see the module
-    docstring's coding table) — while the raw ``next_hop`` matrix
-    serves the legacy per-file loop and exhaustive routing tests. Both
-    use :func:`table_entry_dtype`; capacity is validated (never
-    silently wrapped) at construction.
+    Construction fills each node's row with
+    :func:`~repro.kademlia.address.xor_closest_fill` over its peers
+    plus itself (carrying the sentinel), a trie walk that costs
+    O(peers) slice operations instead of O(peers) full-space passes,
+    then applies the terminal coding (see the module docstring) and
+    transposes block by block into :attr:`coded_transposed`, the
+    ``[target, node]`` layout the batched kernel routes through. The
+    raw ``next_hop`` matrix is never kept: it is decoded lazily for
+    the legacy per-file loop and exhaustive routing tests, exactly as
+    for a table attached with :meth:`from_arrays`. Both use
+    :func:`table_entry_dtype`; capacity is validated (never silently
+    wrapped) at construction.
     """
 
     def __init__(self, overlay: Overlay) -> None:
@@ -243,46 +259,59 @@ class NextHopTable:
                 f"the vectorized backend supports at most {MAX_FAST_BITS}-bit "
                 f"spaces, got {bits}; use the reference SwarmNetwork"
             )
-        self.overlay = overlay
-        size = overlay.space.size
         n_nodes = len(overlay)
         dtype = table_entry_dtype(n_nodes)
-        self.entry_dtype = dtype
-        self.sentinel = int(np.iinfo(dtype).max)
-        self._n_nodes = n_nodes
-        self._next_hop: np.ndarray | None = np.full(
-            (n_nodes, size), self.sentinel, dtype=dtype
-        )
-        self.storer = overlay.storer_table().astype(dtype)
-        targets = np.arange(size, dtype=np.uint64)
+        sentinel = dtype.type(np.iinfo(dtype).max)
+        storer = overlay.storer_table().astype(dtype)
+        stall = storer + dtype.type(2 * n_nodes)
         addresses = overlay.address_array()
-        for index, owner in enumerate(overlay.addresses):
-            table = overlay.table(owner)
-            peers = table.peer_array()
-            if peers.size == 0:
-                continue
-            peer_indices = np.array(
-                [overlay.index_of(int(peer)) for peer in peers],
-                dtype=np.int64,
-            )
-            # Running minimum over the node's peers: O(m) full-space
-            # passes with no (size x m) intermediate.
-            best_distance = targets ^ np.uint64(owner)
-            best_index = np.full(size, -1, dtype=np.int64)
-            for peer, peer_index in zip(peers, peer_indices):
-                distance = targets ^ peer
-                closer = distance < best_distance
-                best_distance = np.where(closer, distance, best_distance)
-                best_index[closer] = peer_index
-            # -1 wraps to the dtype's maximum — exactly the sentinel.
-            self._next_hop[index] = best_index.astype(dtype)
-        self.addresses = addresses
-        self._coded: np.ndarray | None = None
+        by_address = np.argsort(addresses)
+        coded = np.empty((overlay.space.size, n_nodes), dtype=dtype)
+        rows = np.empty((min(n_nodes, _BUILD_ROWS), overlay.space.size),
+                        dtype=dtype)
+        for start in range(0, n_nodes, _BUILD_ROWS):
+            owners = overlay.addresses[start:start + _BUILD_ROWS]
+            block = rows[:len(owners)]
+            for row, owner in zip(block, owners):
+                peers = overlay.table(owner).peer_array()
+                positions = np.searchsorted(addresses, peers,
+                                            sorter=by_address)
+                peer_indices = by_address[np.minimum(positions,
+                                                     n_nodes - 1)]
+                if not np.array_equal(addresses[peer_indices], peers):
+                    raise OverlayError(
+                        f"node {owner} knows peers that are not overlay "
+                        f"nodes"
+                    )
+                xor_closest_fill(row, np.append(peers, np.uint64(owner)),
+                                 np.append(peer_indices.astype(dtype),
+                                           sentinel))
+            # Terminal coding: a hop onto the storer moves into the
+            # arrive band; the sentinel, the dtype's maximum, is the
+            # only value above its target's fallback-band entry, so
+            # the minimum rewrites exactly the greedy stalls.
+            np.add(block, dtype.type(n_nodes), out=block,
+                   where=block == storer)
+            np.minimum(block, stall, out=block)
+            coded[:, start:start + len(owners)] = block.T
+        self._adopt(overlay, coded, storer, ())
+        _log_table_build(overlay.fingerprint())
+
+    def _adopt(self, overlay: Overlay, coded: np.ndarray,
+               storer: np.ndarray, segments: tuple) -> None:
+        """Set every attribute from a coded matrix and storer column."""
+        self.overlay = overlay
+        self.entry_dtype = coded.dtype
+        self.sentinel = int(np.iinfo(coded.dtype).max)
+        self._n_nodes = len(overlay)
+        self._next_hop: np.ndarray | None = None
+        self.storer = storer
+        self.addresses = overlay.address_array()
+        self._coded = coded
         self._flat: np.ndarray | None = None
         self._storer_idx: np.ndarray | None = None
         self._addresses32: np.ndarray | None = None
-        self._shm_segments: tuple = ()
-        _log_table_build(overlay.fingerprint())
+        self._shm_segments = tuple(segments)
 
     @classmethod
     def from_arrays(cls, overlay: Overlay, *, coded: np.ndarray,
@@ -312,18 +341,7 @@ class NextHopTable:
                 f"expected {(overlay.space.size, n_nodes)}"
             )
         table = cls.__new__(cls)
-        table.overlay = overlay
-        table.entry_dtype = expected
-        table.sentinel = int(np.iinfo(expected).max)
-        table._n_nodes = n_nodes
-        table._next_hop = None
-        table.storer = storer
-        table.addresses = overlay.address_array()
-        table._coded = coded
-        table._flat = None
-        table._storer_idx = None
-        table._addresses32 = None
-        table._shm_segments = tuple(segments)
+        table._adopt(overlay, coded, storer, segments)
         return table
 
     @property
@@ -348,28 +366,13 @@ class NextHopTable:
 
     @property
     def coded_transposed(self) -> np.ndarray:
-        """Terminal-coded ``[target, node]`` matrix (built lazily).
+        """Terminal-coded ``[target, node]`` matrix.
 
         The batched engine sorts in-flight chunks by target, so this
         layout turns every hop wave's table gather into a near
         sequential walk over compact rows; the terminal coding (see
         the module docstring) lets one bincount classify every hop.
         """
-        if self._coded is None:
-            n = self._n_nodes
-            dtype = self.entry_dtype
-            coded = np.ascontiguousarray(self._next_hop.T)
-            # Chunked over target rows to bound the mask temporaries.
-            rows = max(1, (1 << 22) // max(1, n))
-            for start in range(0, coded.shape[0], rows):
-                block = coded[start:start + rows]
-                storer_col = self.storer[start:start + rows, None]
-                arrived = block == storer_col
-                stalled = block == dtype.type(self.sentinel)
-                np.add(block, dtype.type(n), out=block, where=arrived)
-                np.copyto(block, storer_col + dtype.type(2 * n),
-                          where=stalled)
-            self._coded = coded
         return self._coded
 
     @property

@@ -15,9 +15,12 @@ answers "*when* did each chunk arrive". It runs in two phases:
 2. **Fluid timeline** — a vectorized event wheel over the recorded
    paths, driven by the :class:`~repro.engine.des.EventScheduler`.
    Each in-flight chunk carries ``(remaining_bytes, path, hop_index)``;
-   a transfer's rate is the fair share
+   a transfer's rate is the bottleneck fair share
    ``min(up / sender_out, down / receiver_in)`` of its endpoints'
    finite bandwidth, recomputed only at arrival/departure events.
+   This is not max–min fair: bandwidth a transfer cannot use because
+   its other endpoint is the bottleneck is not redistributed to the
+   transfers that share the link.
    Fixed per-hop propagation (``2 * hops * hop_latency_ms``: request
    out, data back) is folded into the chunk's release time, so the
    wheel only simulates the bandwidth-bound data hops. A positive

@@ -13,6 +13,7 @@ from .address import (
     common_prefix_length,
     proximity,
     proximity_array,
+    xor_closest_fill,
     xor_distance,
 )
 from .buckets import (
@@ -46,5 +47,6 @@ __all__ = [
     "common_prefix_length",
     "proximity",
     "proximity_array",
+    "xor_closest_fill",
     "xor_distance",
 ]

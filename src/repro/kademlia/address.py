@@ -22,6 +22,7 @@ Key notions (paper §III-A):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "bit_length_array",
     "proximity_array",
     "target_dtype",
+    "xor_closest_fill",
 ]
 
 #: Maximum supported address width in bits. 64 keeps every address a
@@ -109,6 +111,71 @@ def proximity_array(owner: int, others: np.ndarray, bits: int) -> np.ndarray:
     """
     others = np.asarray(others, dtype=np.uint64)
     return bits - bit_length_array(others ^ np.uint64(owner))
+
+
+def xor_closest_fill(out: np.ndarray, addresses: Sequence[int] | np.ndarray,
+                     values: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Set ``out[t]`` to the value of the candidate XOR-closest to ``t``.
+
+    *out* covers a whole address space (``len(out) == 2**bits``);
+    candidate ``i`` sits at ``addresses[i]`` and carries ``values[i]``.
+    Addresses must be distinct, so every target has exactly one
+    closest candidate. Returns *out*.
+
+    The closest candidate is piecewise constant over the address trie,
+    so the fill walks the trie instead of scanning the space once per
+    candidate. Sorted candidates that share a prefix form one slice,
+    which splits on the highest bit where its first and last members
+    differ: targets on each side of that bit belong to the candidates
+    on the same side. Every bit above the split is shared by the whole
+    slice, and flipping it leaves the XOR order unchanged, so the
+    slice's range repeats with the split's period and is filled once
+    and tiled. A slice of one candidate fills its whole range. That is
+    ``2 * len(addresses) - 1`` slice operations and one write per entry
+    of *out*.
+    """
+    size = len(out)
+    bits = size.bit_length() - 1
+    if size != 1 << bits:
+        raise ConfigurationError(
+            f"out must span a power-of-two address space, got {size} entries"
+        )
+    addresses = np.asarray(addresses, dtype=np.uint64)
+    if addresses.size == 0:
+        raise ConfigurationError("xor_closest_fill needs at least one candidate")
+    if addresses.shape != np.shape(values):
+        raise ConfigurationError(
+            f"got {addresses.size} candidate addresses but "
+            f"{np.size(values)} values"
+        )
+    order = np.argsort(addresses)
+    ordered = addresses[order].tolist()
+    ordered_values = np.asarray(values)[order].tolist()
+    if ordered[-1] >= size:
+        raise AddressError(
+            f"candidate address {ordered[-1]} outside the {bits}-bit space"
+        )
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        raise ConfigurationError("candidate addresses must be distinct")
+
+    def fill(lo: int, height: int, first: int, stop: int) -> None:
+        # ordered[first:stop] share every bit at or above `height`;
+        # out[lo:lo + 2**height] are the targets they compete for.
+        if stop - first == 1:
+            out[lo:lo + (1 << height)] = ordered_values[first]
+            return
+        split = (ordered[first] ^ ordered[stop - 1]).bit_length() - 1
+        half = 1 << split
+        mid = bisect_left(ordered, ordered[stop - 1] >> split << split,
+                          first, stop)
+        fill(lo, split, first, mid)
+        fill(lo + half, split, mid, stop)
+        if split + 1 < height:
+            period = out[lo:lo + (1 << height)].reshape(-1, 2 * half)
+            period[1:] = period[0]
+
+    fill(0, bits, 0, len(ordered))
+    return out
 
 
 @dataclass(frozen=True)

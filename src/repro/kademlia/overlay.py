@@ -35,7 +35,7 @@ import numpy as np
 
 from .._validation import require_int
 from ..errors import ConfigurationError, OverlayError
-from .address import AddressSpace, proximity_array
+from .address import AddressSpace, proximity_array, xor_closest_fill
 from .buckets import BucketLimits, NEIGHBORHOOD_MIN, SWARM_BUCKET_SIZE
 from .table import RoutingTable
 
@@ -291,21 +291,16 @@ class Overlay:
         """Precomputed storer (dense node index) for every address.
 
         A ``uint32`` array of length ``2**bits`` mapping each chunk
-        address to the dense index of its closest node. Computed once
-        and cached; at the paper's scale (65536 addresses x 1000
-        nodes) this takes well under a second.
+        address to the dense index of its closest node, filled by
+        :func:`~repro.kademlia.address.xor_closest_fill` with every
+        node as a candidate. Computed once and cached; at the paper's
+        scale (65536 addresses x 1000 nodes) it takes milliseconds.
         """
         if self._storer_cache is None:
-            size = self.space.size
-            targets = np.arange(size, dtype=np.uint64)
-            storers = np.empty(size, dtype=np.uint32)
-            # Chunked to bound peak memory at ~ chunk * n_nodes * 8B.
-            chunk = max(1, (1 << 22) // max(1, len(self.addresses)))
-            for start in range(0, size, chunk):
-                block = targets[start:start + chunk]
-                distances = block[:, None] ^ self._address_array[None, :]
-                storers[start:start + chunk] = np.argmin(distances, axis=1)
-            self._storer_cache = storers
+            self._storer_cache = xor_closest_fill(
+                np.empty(self.space.size, dtype=np.uint32),
+                self._address_array, np.arange(len(self.addresses)),
+            )
         return self._storer_cache
 
     def degree_histogram(self) -> dict[int, int]:

@@ -2,8 +2,8 @@
 
 PR 2 measured ``sweep --jobs 4`` running *slower* than serial because
 every worker process rebuilt the dense
-:class:`~repro.backends.fast.NextHopTable` (about 5 s and 131 MB at
-paper scale) for every sweep point. This package removes that
+:class:`~repro.backends.fast.NextHopTable` (then about 5 s, now
+0.6–1.0 s, and 131 MB at paper scale) for every sweep point. This package removes that
 redundancy and tracks the repository's performance trajectory:
 
 * :mod:`~repro.perf.table_cache` — a process-global, content-addressed

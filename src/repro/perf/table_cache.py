@@ -17,9 +17,9 @@ The cache has three sources, tried in order:
 :attr:`TableCache.stats` counts each source, which is how the
 instrumented sweep tests assert "exactly one build per topology"
 without depending on machine speed. The cache is intentionally
-unbounded: a process touches at most a handful of topologies, and the
-paper-scale table is ~131 MB — far below the cost of rebuilding it
-per sweep point.
+unbounded: a process touches at most a handful of topologies, each
+paper-scale table is ~131 MB, and rebuilding one per sweep point
+would cost 0.6–1.0 s of trie fill each time.
 
 The epoch-driven scenario layer adds a second, lighter cache:
 :class:`EpochTableCache` memoizes the per-epoch *storer* tables that

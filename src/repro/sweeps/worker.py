@@ -15,7 +15,7 @@ build once — the same amortization the single-process runners enjoy.
 On top of that, :func:`execute_point` accepts the shared-memory table
 handles published by :class:`~repro.sweeps.executors.ProcessExecutor`
 and registers them with the worker's table cache *before* running, so
-the expensive dense next-hop table is attached from the parent's
+the dense next-hop table is attached from the parent's
 segments instead of being rebuilt — the cross-process half of the
 "build each topology exactly once" guarantee.
 """
