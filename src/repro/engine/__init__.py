@@ -4,13 +4,13 @@ discrete-event kernel.
 The paper built its simulator on the cadCAD engine; this subpackage is
 the from-scratch equivalent (see DESIGN.md substitutions): models are
 state dictionaries evolved through ordered blocks of policy and update
-functions, executed deterministically across timesteps, Monte-Carlo
-runs and parameter sweeps. :mod:`repro.engine.des` adds an event
-queue for time-based behaviour (amortization, churn).
+functions, executed deterministically across timesteps and Monte-Carlo
+runs (parameter sweeps live in :mod:`repro.sweeps`).
+:mod:`repro.engine.des` adds an event queue for time-based behaviour
+(amortization, churn).
 """
 
 from .des import Event, EventScheduler, PeriodicEvent
-from .experiment import ExperimentRunner, ParameterSweep, SweepPoint
 from .results import Record, ResultSet
 from .rng import derive_seed, run_seed, substream
 from .simulation import SimulationConfig, Simulator
@@ -20,9 +20,7 @@ __all__ = [
     "Block",
     "Event",
     "EventScheduler",
-    "ExperimentRunner",
     "Model",
-    "ParameterSweep",
     "PeriodicEvent",
     "Policy",
     "Record",
@@ -30,7 +28,6 @@ __all__ = [
     "SimulationConfig",
     "Simulator",
     "StepContext",
-    "SweepPoint",
     "Updater",
     "derive_seed",
     "run_seed",

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,33 @@ class TestSweepCommand:
         assert code == 0
         assert "| backend |" in out.read_text()
         assert f"report written to {out}" in capsys.readouterr().out
+
+
+class TestSweepImports:
+    def test_serial_sweep_does_not_import_scipy(self):
+        """A sweep's confidence intervals need no scipy: a fresh
+        interpreter running a serial sweep ends without it loaded."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert code == 0, code\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, "sweep",
+             "--grid", "bucket_size=4", "--files", "20",
+             "--nodes", "40", "--seeds", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "bucket_size=4" in result.stdout
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 class TestRegistrySmoke:
