@@ -12,20 +12,25 @@ answers "*when* did each chunk arrive". It runs in two phases:
    hits) is computed with the same arithmetic in the same order, so
    the hop-count projection of a time run is **bit-identical** to the
    fast backend — the golden-fixture equivalence suite pins this.
-2. **Fluid timeline** — a vectorized event wheel over the recorded
-   paths, driven by the :class:`~repro.engine.des.EventScheduler`.
-   Each in-flight chunk carries ``(remaining_bytes, path, hop_index)``;
-   a transfer's rate is the bottleneck fair share
+2. **Fluid timeline** — :class:`FluidWheel`, a vectorized event wheel
+   over the recorded paths. Each in-flight data hop is one active
+   transfer with its chunk, its sender and receiver, the data hops
+   still to go after it and its remaining bytes; per-node occupancy
+   counters track how many transfers each node sends and receives.
+   A transfer's rate is the bottleneck fair share
    ``min(up / sender_out, down / receiver_in)`` of its endpoints'
-   finite bandwidth, recomputed only at arrival/departure events.
-   This is not max–min fair: bandwidth a transfer cannot use because
-   its other endpoint is the bottleneck is not redistributed to the
-   transfers that share the link.
+   finite bandwidth, recomputed only at release and completion
+   events. This is not max–min fair: bandwidth a transfer cannot use
+   because its other endpoint is the bottleneck is not redistributed
+   to the transfers that share the link.
    Fixed per-hop propagation (``2 * hops * hop_latency_ms``: request
    out, data back) is folded into the chunk's release time, so the
    wheel only simulates the bandwidth-bound data hops. A positive
    ``time_quantum_ms`` batches completions into slots, bounding the
-   number of bandwidth recomputations for paper-scale runs.
+   number of bandwidth recomputations for paper-scale runs. The
+   wheel's completion times are bit-for-bit those of the simple
+   heap-scheduled wheel kept as the test oracle: it reorders no float
+   operation, so recorded latencies never drift.
 
 With unbounded bandwidth and no concurrency cap the wheel collapses
 to closed form (latency = ``2 * hops * hop_latency``), which is both
@@ -45,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.des import EventScheduler
 from ..errors import SimulationError
 from ..workloads.distributions import PoissonArrivals
 from .base import SimulationBackend, register_backend
@@ -145,9 +149,18 @@ class FluidWheel:
     time plus total fixed propagation) and its payload then crosses
     the recorded path in reverse, one bandwidth-bound transfer per
     hop. All state is structure-of-arrays over the currently active
-    transfers; the :class:`EventScheduler` sequences release batches
-    and completion slots, with stale completion events invalidated by
-    a generation counter (lazy cancellation).
+    transfers, kept in activation order (appended on activation,
+    compacted stably on retirement). Per-node occupancy counters are
+    updated by the transfers that start or finish, so an event's
+    bookkeeping scales with what changed; only the rate gather and
+    the progress update touch every active transfer.
+
+    :meth:`run` is a plain merge of the sorted release batches with
+    the single pending completion slot (a newer slot always supersedes
+    the older one); a release fires first on a tie. Every float
+    operation that sets a completion time is the one the
+    heap-scheduled wheel in ``tests/backends/wheel_oracle.py`` makes,
+    so ``done`` is bit-for-bit equal to that oracle's.
     """
 
     def __init__(self, *, n_nodes: int, chunk_bytes: float,
@@ -160,6 +173,9 @@ class FluidWheel:
         self.chunk_bytes = float(chunk_bytes)
         self.up = up_bytes_s if up_bytes_s > 0 else np.inf
         self.down = down_bytes_s if down_bytes_s > 0 else np.inf
+        # Rates are finite unless both endpoints are unbounded; then
+        # every active transfer completes the instant it starts.
+        self._instant = bool(np.isinf(self.up) and np.isinf(self.down))
         self.cap = int(max_concurrent)
         self.quantum = float(quantum_s)
         self.hops = hops
@@ -171,20 +187,23 @@ class FluidWheel:
         self.release = release_s
         m = release_s.size
         self.done = np.full(m, -1.0)
-        # Active transfers (structure of arrays).
+        # Active transfers per node, as sender (out) and receiver (inn).
+        self._out = np.zeros(n_nodes, dtype=np.int64)
+        self._inn = np.zeros(n_nodes, dtype=np.int64)
+        # Active transfers (structure of arrays). ``_left`` counts the
+        # data hops the chunk still has to make after this one.
         self._chunk = np.empty(0, dtype=np.int64)
-        self._hop = np.empty(0, dtype=np.int32)
+        self._left = np.empty(0, dtype=np.int32)
         self._sender = np.empty(0, dtype=np.int64)
         self._receiver = np.empty(0, dtype=np.int64)
         self._remaining = np.empty(0, dtype=np.float64)
         self._rate = np.empty(0, dtype=np.float64)
         # FIFO admission queue (only populated when cap > 0).
         self._q_chunk = np.empty(0, dtype=np.int64)
-        self._q_hop = np.empty(0, dtype=np.int32)
+        self._q_left = np.empty(0, dtype=np.int32)
         self._q_sender = np.empty(0, dtype=np.int64)
         self._q_receiver = np.empty(0, dtype=np.int64)
         self._last = 0.0
-        self._gen = 0
 
     # -- helpers -------------------------------------------------------
 
@@ -194,37 +213,41 @@ class FluidWheel:
         return np.ceil(np.asarray(t) / q - 1e-12) * q
 
     def _endpoints(self, chunks: np.ndarray,
-                   hop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sender, receiver) node indices of data-hop *hop* per chunk.
+                   left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sender, receiver) node indices of each chunk's next data hop.
 
-        Data-hop 0 leaves the serving node (the last request hop);
-        the final data-hop delivers to the originator.
+        The data hop with *left* hops after it is sent by the node at
+        request-path position *left* (the first data hop leaves the
+        serving node, at the path's end) to the node before it; the
+        final data hop (``left == 0``) delivers to the originator.
         """
-        pos = self.offsets[chunks] + (self.hops[chunks] - 1 - hop)
+        pos = self.offsets[chunks] + left
         sender = self.nodes[pos].astype(np.int64)
-        last = hop == self.hops[chunks] - 1
         receiver = np.where(
-            last, self.origins[chunks],
+            left == 0, self.origins[chunks],
             self.nodes[np.maximum(pos - 1, 0)],
         ).astype(np.int64)
         return sender, receiver
 
-    def _enqueue(self, chunks: np.ndarray, hop: np.ndarray) -> None:
-        """Request data-hop *hop* for *chunks* (activate or queue)."""
+    def _enqueue(self, chunks: np.ndarray, left: np.ndarray) -> None:
+        """Request the next data hop of *chunks* (activate or queue)."""
         if chunks.size == 0:
             return
-        sender, receiver = self._endpoints(chunks, hop)
+        sender, receiver = self._endpoints(chunks, left)
         if self.cap == 0:
-            self._activate(chunks, hop, sender, receiver)
+            self._activate(chunks, left, sender, receiver)
             return
         self._q_chunk = np.concatenate((self._q_chunk, chunks))
-        self._q_hop = np.concatenate((self._q_hop, hop.astype(np.int32)))
+        self._q_left = np.concatenate((self._q_left, left))
         self._q_sender = np.concatenate((self._q_sender, sender))
         self._q_receiver = np.concatenate((self._q_receiver, receiver))
 
-    def _activate(self, chunks, hop, sender, receiver) -> None:
+    def _activate(self, chunks, left, sender, receiver) -> None:
+        n = self.n_nodes
+        self._out += np.bincount(sender, minlength=n)
+        self._inn += np.bincount(receiver, minlength=n)
         self._chunk = np.concatenate((self._chunk, chunks))
-        self._hop = np.concatenate((self._hop, hop.astype(np.int32)))
+        self._left = np.concatenate((self._left, left))
         self._sender = np.concatenate((self._sender, sender))
         self._receiver = np.concatenate((self._receiver, receiver))
         self._remaining = np.concatenate((
@@ -241,8 +264,7 @@ class FluidWheel:
         """
         if self.cap == 0 or self._q_chunk.size == 0:
             return
-        busy = np.bincount(self._sender, minlength=self.n_nodes)
-        free = self.cap - busy
+        free = self.cap - self._out
         senders = self._q_sender
         by_sender = np.argsort(senders, kind="stable")
         sorted_senders = senders[by_sender]
@@ -257,86 +279,76 @@ class FluidWheel:
         admit = rank < free[senders]
         if not admit.any():
             return
-        self._activate(self._q_chunk[admit], self._q_hop[admit],
+        self._activate(self._q_chunk[admit], self._q_left[admit],
                        self._q_sender[admit], self._q_receiver[admit])
         keep = ~admit
         self._q_chunk = self._q_chunk[keep]
-        self._q_hop = self._q_hop[keep]
+        self._q_left = self._q_left[keep]
         self._q_sender = self._q_sender[keep]
         self._q_receiver = self._q_receiver[keep]
 
     def _recompute_rates(self) -> None:
-        """Fair-share rate per active transfer at the current instant."""
-        if self._chunk.size == 0:
-            self._rate = np.empty(0, dtype=np.float64)
-            return
-        out = np.bincount(self._sender, minlength=self.n_nodes)
-        inn = np.bincount(self._receiver, minlength=self.n_nodes)
-        self._rate = np.minimum(
-            self.up / out[self._sender], self.down / inn[self._receiver]
-        )
+        """Fair-share rate per active transfer at the current instant.
+
+        ``up / out`` per node is the same IEEE division as
+        ``up / out[sender]`` per transfer. Idle nodes are never
+        gathered, so they divide by 1 rather than by 0.
+        """
+        up_share = self.up / np.maximum(self._out, 1)
+        down_share = self.down / np.maximum(self._inn, 1)
+        self._rate = np.minimum(up_share[self._sender],
+                                down_share[self._receiver])
 
     def _advance(self, now: float) -> None:
         """Progress every active transfer to *now* at its last rate."""
         dt = now - self._last
-        if dt > 0 and self._remaining.size:
-            finite = np.isfinite(self._rate)
-            self._remaining[finite] -= self._rate[finite] * dt
+        if dt > 0 and self._remaining.size and not self._instant:
+            self._remaining -= self._rate * dt
         self._last = now
 
     def _complete(self, now: float) -> None:
         """Retire finished transfers; chain or finish their chunks."""
-        finished = self._remaining <= _EPS_BYTES
-        infinite = ~np.isfinite(self._rate)
-        if infinite.any():
+        if self._instant:
             # Unbounded endpoints transfer instantaneously.
-            finished |= infinite
-        if not finished.any():
-            # The scheduled completion instant is exact up to float
-            # error; retire the nearest transfer so the wheel always
-            # makes progress.
-            finished = self._remaining <= self._remaining.min() + _EPS_BYTES
-        chunks = self._chunk[finished]
-        hop = self._hop[finished]
-        keep = ~finished
+            finished = np.ones(self._chunk.size, dtype=bool)
+        else:
+            finished = self._remaining <= _EPS_BYTES
+            if not finished.any():
+                # The scheduled completion instant is exact up to float
+                # error; retire the nearest transfer so the wheel
+                # always makes progress.
+                finished = (self._remaining
+                            <= self._remaining.min() + _EPS_BYTES)
+        gone = np.flatnonzero(finished)
+        keep = np.flatnonzero(~finished)
+        chunks = self._chunk[gone]
+        left = self._left[gone]
+        n = self.n_nodes
+        self._out -= np.bincount(self._sender[gone], minlength=n)
+        self._inn -= np.bincount(self._receiver[gone], minlength=n)
         self._chunk = self._chunk[keep]
-        self._hop = self._hop[keep]
+        self._left = self._left[keep]
         self._sender = self._sender[keep]
         self._receiver = self._receiver[keep]
         self._remaining = self._remaining[keep]
-        self._rate = self._rate[keep]
-        last_hop = hop == self.hops[chunks] - 1
+        last_hop = left == 0
         self.done[chunks[last_hop]] = now
         ongoing = ~last_hop
         if ongoing.any():
-            self._enqueue(chunks[ongoing], hop[ongoing] + 1)
+            self._enqueue(chunks[ongoing], left[ongoing] - 1)
 
-    def _reschedule(self, scheduler: EventScheduler) -> None:
-        """Schedule the next completion slot (invalidating older ones)."""
-        self._gen += 1
+    def _next_completion(self, now: float) -> float | None:
+        """The next completion slot, or None with nothing in flight."""
         if self._chunk.size == 0:
-            return
-        generation = self._gen
-        finite = np.isfinite(self._rate)
-        if finite.all():
-            dt = float((self._remaining / self._rate).min())
-        else:
+            return None
+        if self._instant:
             dt = 0.0
+        else:
+            dt = float((self._remaining / self._rate).min())
         when = self._last + dt
         if self.quantum > 0:
             when = float(self._snap_up(when))
-        when = max(when, scheduler.now)
-
-        def handler(s: EventScheduler, t: float) -> None:
-            if generation != self._gen:
-                return
-            self._advance(t)
-            self._complete(t)
-            self._admit()
-            self._recompute_rates()
-            self._reschedule(s)
-
-        scheduler.schedule_at(when, handler, name="complete")
+        return max(when, now)
 
     # -- driver --------------------------------------------------------
 
@@ -351,33 +363,37 @@ class FluidWheel:
             np.flatnonzero(sorted_release[1:] != sorted_release[:-1]) + 1,
             [sorted_release.size],
         ))
-        scheduler = EventScheduler()
-        for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-            lo, hi = int(lo), int(hi)
-            batch = order[lo:hi]
-
-            def release(s: EventScheduler, t: float,
-                        batch: np.ndarray = batch) -> None:
-                self._advance(t)
-                self._enqueue(batch, np.zeros(batch.size, dtype=np.int32))
-                self._admit()
-                self._recompute_rates()
-                self._reschedule(s)
-
-            scheduler.schedule_at(
-                float(sorted_release[lo]), release, name="release"
-            )
+        starts = sorted_release[boundaries[:-1]].tolist()
+        bounds = boundaries.tolist()
+        releases = len(starts)
         total_hops = int(self.hops.sum())
-        releases = len(boundaries) - 1
         max_events = 4 * total_hops + 4 * releases + 1024
-        try:
-            scheduler.run_all(max_events=max_events)
-        except SimulationError as error:
-            raise SimulationError(
-                f"fluid event wheel exceeded {max_events} events; set "
-                f"time_quantum_ms to batch completions into slots "
-                f"({error})"
-            ) from error
+        batch = 0
+        pending = None
+        fired = 0
+        while batch < releases or pending is not None:
+            if fired >= max_events:
+                raise SimulationError(
+                    f"fluid event wheel exceeded {max_events} events; set "
+                    f"time_quantum_ms to batch completions into slots "
+                    f"(exceeded max_events={max_events}; runaway event "
+                    f"loop?)"
+                )
+            fired += 1
+            if batch < releases and (pending is None
+                                     or starts[batch] <= pending):
+                now = starts[batch]
+                ids = order[bounds[batch]:bounds[batch + 1]]
+                batch += 1
+                self._advance(now)
+                self._enqueue(ids, self.hops[ids] - 1)
+            else:
+                now = pending
+                self._advance(now)
+                self._complete(now)
+            self._admit()
+            self._recompute_rates()
+            pending = self._next_completion(now)
         if self.done.size and self.done.min() < 0:
             raise SimulationError(
                 "fluid event wheel drained with unfinished transfers"

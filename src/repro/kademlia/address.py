@@ -158,24 +158,31 @@ def xor_closest_fill(out: np.ndarray, addresses: Sequence[int] | np.ndarray,
     if any(a == b for a, b in zip(ordered, ordered[1:])):
         raise ConfigurationError("candidate addresses must be distinct")
 
-    def fill(lo: int, height: int, first: int, stop: int) -> None:
-        # ordered[first:stop] share every bit at or above `height`;
-        # out[lo:lo + 2**height] are the targets they compete for.
-        if stop - first == 1:
-            out[lo:lo + (1 << height)] = ordered_values[first]
-            return
-        split = (ordered[first] ^ ordered[stop - 1]).bit_length() - 1
-        half = 1 << split
-        mid = bisect_left(ordered, ordered[stop - 1] >> split << split,
-                          first, stop)
-        fill(lo, split, first, mid)
-        fill(lo + half, split, mid, stop)
-        if split + 1 < height:
-            period = out[lo:lo + (1 << height)].reshape(-1, 2 * half)
-            period[1:] = period[0]
-
-    fill(0, bits, 0, len(ordered))
+    _trie_fill(out, ordered, ordered_values, 0, bits, 0, len(ordered))
     return out
+
+
+def _trie_fill(out: np.ndarray, ordered: list[int], values: list[int],
+               lo: int, height: int, first: int, stop: int) -> None:
+    """Fill ``out[lo:lo + 2**height]`` from ``ordered[first:stop]``.
+
+    The candidates share every bit at or above *height*. A module
+    function rather than a recursive closure: a closure that calls
+    itself is a reference cycle, which would hold *out* until the
+    cyclic collector next runs.
+    """
+    if stop - first == 1:
+        out[lo:lo + (1 << height)] = values[first]
+        return
+    split = (ordered[first] ^ ordered[stop - 1]).bit_length() - 1
+    half = 1 << split
+    mid = bisect_left(ordered, ordered[stop - 1] >> split << split,
+                      first, stop)
+    _trie_fill(out, ordered, values, lo, split, first, mid)
+    _trie_fill(out, ordered, values, lo + half, split, mid, stop)
+    if split + 1 < height:
+        period = out[lo:lo + (1 << height)].reshape(-1, 2 * half)
+        period[1:] = period[0]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,17 +163,18 @@ class TestServeCli:
 
     def test_sigterm_flushes_final_line(self, tmp_path):
         """A killed server still emits its final aggregate line."""
+        root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            "src" + os.pathsep + env.get("PYTHONPATH", "")
-        ).rstrip(os.pathsep)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--nodes", "60", "--bits", "10", "--overlay-seed", "5",
              "--max-batch", "2"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, env=env,
-            cwd="/root/repo",
+            cwd=root,
         )
         try:
             for line in request_lines(CONFIG, n_files=6):
